@@ -45,7 +45,7 @@ import (
 // on the panic path), so steady-state events pay zero heap traffic — the
 // property the benchmarks in BENCH_sweep.json pin.
 var escapeAllowedCallees = map[string]string{
-	"(*repro/internal/machine.firstLoadTable).grow":        "amortized doubling of the dense first-load table",
+	"(*repro/internal/machine.firstLoadTable).grow":        "dense first-load table: reslices within capacity, reallocates with doubling headroom past it (O(log n) times per run)",
 	"(*repro/internal/htm.lineSet).ensureBits":             "amortized doubling of the read/write-set bitmap",
 	"(*repro/internal/coherence.Directory).ensureIdx":      "amortized doubling of the directory's dense index",
 	"(*repro/internal/pdes.Coordinator).growRenum":         "amortized doubling of the renumber table",

@@ -79,10 +79,18 @@ func (t *firstLoadTable) get(id mem.LineID) (int, bool) {
 	return int(t.ops[id]) - 1, true
 }
 
-// grow extends the dense array to cover id (doubling headroom, so repeated
-// first touches of ascending IDs amortize to O(1)).
+// grow extends the dense array to cover id. Within capacity it only
+// reslices: entries between the old length and the capacity were never
+// written (reset clears only touched IDs, all below the length), so they
+// already read as absent. Past capacity it reallocates with doubling
+// headroom, so first touches of ascending IDs amortize to O(1) and a run
+// reallocates O(log n) times.
 func (t *firstLoadTable) grow(id mem.LineID) {
 	n := int(id) + 1
+	if n <= cap(t.ops) {
+		t.ops = t.ops[:n]
+		return
+	}
 	s := make([]int32, n, 2*n)
 	copy(s, t.ops)
 	t.ops = s

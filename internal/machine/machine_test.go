@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -167,6 +169,31 @@ func TestDeterminism(t *testing.T) {
 	}
 	if r1.Net.TotalTraversals() != r2.Net.TotalTraversals() {
 		t.Fatal("network traffic diverged between identical runs")
+	}
+}
+
+// TestTraceFnTrajectoryNeutral runs a contended workload with and without
+// Config.TraceFn: the text trace must observe the run without altering it,
+// and every trace site (read, write, commit, abort, request completion,
+// forward) must fire.
+func TestTraceFnTrajectoryNeutral(t *testing.T) {
+	wl := counterWorkload{name: "hot", txPerCPU: 20, counters: 2, incrsPer: 2, think: 0}
+	_, plain := runWorkload(t, smallConfig(SchemePUNO, 7), wl)
+
+	cfg := smallConfig(SchemePUNO, 7)
+	kinds := map[string]int{}
+	cfg.TraceFn = func(_ sim.Time, _ int, ev string) {
+		kind, _, _ := strings.Cut(ev, " ")
+		kinds[kind]++
+	}
+	_, traced := runWorkload(t, cfg, wl)
+	if !reflect.DeepEqual(resultSignature(traced), resultSignature(plain)) {
+		t.Fatalf("tracing changed the run:\ntraced %v\nplain  %v", resultSignature(traced), resultSignature(plain))
+	}
+	for _, k := range []string{"read", "write", "commit", "abort", "req", "fwd"} {
+		if kinds[k] == 0 {
+			t.Errorf("trace site %q never fired (saw %v)", k, kinds)
+		}
 	}
 }
 

@@ -234,11 +234,16 @@ func (n *node) OnEvent(_ any, word uint64) {
 //puno:hot
 func (n *node) afterEv(d sim.Time, code uint64) { n.m.eng.AfterEvent(d, n, nil, code) }
 
-// trace emits a debug event when tracing is enabled.
+// tracing reports whether Config.TraceFn is set. Every trace call site
+// is wrapped in `if n.tracing() { ... }`, so with tracing off no argument is
+// built or boxed into trace's ...any and the site costs one branch.
+func (n *node) tracing() bool { return n.m.cfg.TraceFn != nil }
+
+// trace emits a debug event. It assumes TraceFn is set: callers must check
+// tracing first, so an unguarded site fails loudly on the first untraced
+// run instead of silently boxing its arguments on every event.
 func (n *node) trace(format string, args ...any) {
-	if n.m.cfg.TraceFn != nil {
-		n.m.cfg.TraceFn(n.m.eng.Now(), n.id, fmt.Sprintf(format, args...))
-	}
+	n.m.cfg.TraceFn(n.m.eng.Now(), n.id, fmt.Sprintf(format, args...))
 }
 
 // afterCancellableEv schedules a continuation and remembers the event so
@@ -370,7 +375,9 @@ func (n *node) readPhaseDone(e *cache.Entry, a mem.Addr) {
 		return
 	}
 	n.tx.RecordReadID(l, e.LID)
-	n.trace("read %v = %d (state %v)", l, e.Data[mem.WordIndex(a)], e.State)
+	if n.tracing() {
+		n.trace("read %v = %d (state %v)", l, e.Data[mem.WordIndex(a)], e.State)
+	}
 	e.Pinned = true
 	n.firstLoad.record(e.LID, n.opIdx)
 	n.rdVal = e.Data[mem.WordIndex(a)]
@@ -393,7 +400,9 @@ func (n *node) writeDone(e *cache.Entry, a mem.Addr, v uint64) {
 		return
 	}
 	old := e.Data[mem.WordIndex(a)]
-	n.trace("write %v: %d -> %d", l, old, v)
+	if n.tracing() {
+		n.trace("write %v: %d -> %d", l, old, v)
+	}
 	n.tx.RecordWriteID(l, e.LID, a, old)
 	e.Pinned = true
 	e.State = cache.Modified
@@ -484,7 +493,7 @@ func (n *node) commit() {
 			n.cmgr.ObserveNonRMW(n.cur.StaticID, n.promotedLoads.ops[i])
 		}
 	}
-	if n.m.cfg.TraceFn != nil {
+	if n.tracing() {
 		ws := ""
 		n.tx.ForEachSetLine(func(l mem.Line, w bool) {
 			if w {
@@ -531,7 +540,9 @@ func (n *node) abortTx(cause AbortCause, overflow bool) sim.Time {
 	n.m.res.Aborts++
 	n.m.res.PerNodeAborts[n.id]++
 	n.m.res.AbortsByCause[cause]++
-	n.trace("abort cause=%d prio=%d attempts=%d", cause, n.tx.Prio, n.tx.Attempts)
+	if n.tracing() {
+		n.trace("abort cause=%d prio=%d attempts=%d", cause, n.tx.Prio, n.tx.Attempts)
+	}
 	n.m.res.DiscardedCycles += uint64(n.m.eng.Now() - n.tx.BeginCycle)
 
 	n.cancelPending()
@@ -640,7 +651,9 @@ func (n *node) handleResponse(m *coherence.Msg) {
 		panic(fmt.Sprintf("machine: node %d unexpected response %v", n.id, m.Type))
 	}
 	if r.soleDone || (r.gotHeader && r.received >= r.expected) {
-		n.trace("req %d line %v complete: nack=%v aborted=%d write=%v data=%v", r.id, r.line, r.sawNack, r.abortedSharers, r.isWrite, r.hasData)
+		if n.tracing() {
+			n.trace("req %d line %v complete: nack=%v aborted=%d write=%v data=%v", r.id, r.line, r.sawNack, r.abortedSharers, r.isWrite, r.hasData)
+		}
 		n.completeRequest()
 	}
 }
@@ -854,7 +867,9 @@ func (n *node) handleEviction(v cache.Entry) {
 // cache and transactional state.
 func (n *node) handleForward(f *coherence.Msg) {
 	l := f.Line
-	n.trace("fwd %v line %v from req%d prio=%d write=%v ubit=%v", f.Type, f.Line, f.Requester, f.Prio, f.IsWrite, f.UBit)
+	if n.tracing() {
+		n.trace("fwd %v line %v from req%d prio=%d write=%v ubit=%v", f.Type, f.Line, f.Requester, f.Prio, f.IsWrite, f.UBit)
+	}
 	if n.tx.Running() && n.tx.ConflictsWithID(l, f.LID, f.IsWrite) {
 		if htm.Older(n.tx.Prio, n.id, f.Prio, f.Requester) {
 			// We win: NACK, with a T_est notification when the scheme

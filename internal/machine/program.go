@@ -54,7 +54,8 @@ type Op struct {
 
 // TxInstance is one dynamic transaction to execute: a static transaction id
 // (its TX_BEGIN site), the operation list, and the non-transactional think
-// time that follows a successful commit.
+// time that follows a successful commit. Ops may alias a buffer its Program
+// reuses; see the lifetime rule on Program.
 type TxInstance struct {
 	StaticID    int
 	Ops         []Op
@@ -64,6 +65,14 @@ type TxInstance struct {
 // Program supplies the sequence of transactions one hardware thread runs.
 // Next is called after each commit; returning ok=false ends the thread.
 // Implementations must be deterministic given the supplied RNG.
+//
+// Lifetime: the TxInstance a Next call returns, Ops included, is valid
+// only until the following Next call on the same Program, so an
+// implementation may build every instance in one reused ops buffer (the
+// STAMP generator does). A node reads its current instance until its
+// commit completes (noteCommit reads Ops there) and only then fetches the
+// next. Callers that keep instances across Next calls, like trace.Record,
+// must clone Ops.
 type Program interface {
 	Next(rng *sim.RNG) (tx TxInstance, ok bool)
 }

@@ -184,18 +184,21 @@ const (
 
 // genScratch holds the flat scratch buffers one program's genInstance calls
 // reuse across transaction instances: the per-set footprint counters, the
-// seen bitmap for distinct random read selection, and the read-index list.
-// Instance generation runs on the sweep hot path, once per transaction, so
-// these replace what used to be two map allocations per instance.
+// seen bitmap for distinct random read selection, the read-index list, and
+// the op list itself. Instance generation runs on the sweep hot path, once
+// per transaction, so none of these may allocate per instance. Reusing ops
+// relies on the machine.Program lifetime rule.
 type genScratch struct {
 	setCount [l1Sets]uint8
 	seen     []uint64 // bitmap over region line indices
 	readIdx  []int
+	ops      []machine.Op
 }
 
 // genInstance builds one dynamic transaction from a class recipe.
 func genInstance(cl Class, r *sim.RNG, priv mem.Line, privSeq *int, sc *genScratch) machine.TxInstance {
-	// Upper bound on the op count, so the ops slice is allocated once.
+	// Upper bound on the op count, so the reused ops buffer grows at most
+	// once per class shape rather than inside the appends below.
 	maxReads := cl.ReadsMax
 	if cl.ReadWholeRegion {
 		maxReads = cl.RegionLines
@@ -204,7 +207,10 @@ func genInstance(cl Class, r *sim.RNG, priv mem.Line, privSeq *int, sc *genScrat
 	if cl.ComputePerRead > 0 {
 		bound += maxReads
 	}
-	ops := make([]machine.Op, 0, bound)
+	if cap(sc.ops) < bound {
+		sc.ops = make([]machine.Op, 0, bound)
+	}
+	ops := sc.ops[:0]
 	lineAt := func(i int) mem.Line {
 		return mem.Line(uint64(cl.RegionBase) + uint64(i)*mem.LineBytes)
 	}
@@ -307,6 +313,6 @@ func genInstance(cl Class, r *sim.RNG, priv mem.Line, privSeq *int, sc *genScrat
 		}
 	}
 
-	sc.readIdx = readIdx // hand the (possibly grown) buffer back for reuse
+	sc.readIdx, sc.ops = readIdx, ops // hand the (possibly grown) buffers back for reuse
 	return machine.TxInstance{StaticID: cl.StaticID, Ops: ops, ThinkCycles: cl.Think}
 }

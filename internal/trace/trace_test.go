@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/sim"
 	"repro/internal/stamp"
 )
 
@@ -170,5 +172,36 @@ func TestTraceIsDeterministicPerSeed(t *testing.T) {
 	}
 	if !diff {
 		t.Log("different seeds produced structurally identical traces (possible but unlikely)")
+	}
+}
+
+// TestRecordUnaffectedByOpsBufferReuse checks Record against the STAMP
+// generator's reused ops buffer: every recorded instance must equal what
+// the node's program yielded at that step, read before the following Next
+// overwrote the buffer. Record clones each instance; without the clone a
+// node's whole recording would alias its last instance.
+func TestRecordUnaffectedByOpsBufferReuse(t *testing.T) {
+	const nodes, seed = 4, 13
+	for _, p := range stamp.All() {
+		wl := p.WithTxPerCPU(5)
+		tr := Record(wl, nodes, seed)
+		root := sim.NewRNG(seed) // fork order as in Record
+		for i := 0; i < nodes; i++ {
+			prog := wl.Program(i, root.Fork(1000+uint64(i)))
+			rng := root.Fork(uint64(i) + 1)
+			for k := 0; ; k++ {
+				tx, ok := prog.Next(rng)
+				if !ok {
+					if k != len(tr.PerNode[i]) {
+						t.Fatalf("%s node %d: recorded %d instances, program yielded %d", p.Name(), i, len(tr.PerNode[i]), k)
+					}
+					break
+				}
+				got := tr.PerNode[i][k]
+				if got.StaticID != tx.StaticID || got.ThinkCycles != tx.ThinkCycles || !slices.Equal(got.Ops, tx.Ops) {
+					t.Fatalf("%s node %d instance %d: recording differs from the live instance", p.Name(), i, k)
+				}
+			}
+		}
 	}
 }

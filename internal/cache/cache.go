@@ -40,14 +40,16 @@ func (s State) String() string {
 	}
 }
 
-// Entry is one cache line's residency in the array.
+// Entry is one cache line's residency in the array. Fields are laid out
+// widest first so an entry carries no padding (88 bytes on 64-bit hosts);
+// TestEntrySize guards the size.
 type Entry struct {
 	Line   mem.Line
+	lru    uint64
+	Data   mem.LineData
 	LID    mem.LineID // Line's interned dense ID (0 when unknown to the filler)
 	State  State
-	Data   mem.LineData
 	Pinned bool // member of a live transaction's read/write set
-	lru    uint64
 	valid  bool
 }
 
@@ -193,7 +195,11 @@ func (c *Cache) InsertID(l mem.Line, id mem.LineID, st State, data mem.LineData)
 		evicted, wasEvicted = *v, true
 	}
 	c.tick++
-	*v = Entry{Line: l, LID: id, State: st, Data: data, lru: c.tick, valid: true}
+	// Zero and fill in place: assigning a literal that sets Data through v
+	// builds it in a stack temporary and copies the whole entry.
+	*v = Entry{}
+	v.Line, v.LID, v.State, v.Data = l, id, st, data
+	v.lru, v.valid = c.tick, true
 	return v, evicted, wasEvicted
 }
 

@@ -41,10 +41,13 @@ func (s DirState) String() string {
 type Env interface {
 	Now() sim.Time
 	Send(delay sim.Time, msg *Msg)
-	// NewMsg returns a message for the directory to fill completely and
-	// hand to Send. Implementations may recycle delivered messages through
-	// a pool, so fields are NOT zeroed; the directory overwrites every
-	// message wholesale (*msg = Msg{...}) before sending.
+	// NewMsg returns a message for the directory to fill and hand to Send.
+	// Implementations may recycle delivered messages through a pool, so
+	// fields are NOT zeroed: the directory starts every message with
+	// Msg.Fill, which zeroes it in place, then sets the type-specific
+	// fields one by one. It never assigns a composite literal through the
+	// pointer (*msg = Msg{...}), which the compiler may lower to a zeroed
+	// stack temporary plus a full-struct copy (see Msg.Fill).
 	NewMsg() *Msg
 	// Interner is the machine-wide line interner the directory indexes its
 	// dense entry table by. Returning nil makes the directory run a private
@@ -128,29 +131,13 @@ func oneNode(n int) nodeSet {
 func (s *nodeSet) add(n int)      { s[n>>6] |= 1 << uint(n&63) }
 func (s *nodeSet) has(n int) bool { return s[n>>6]&(1<<uint(n&63)) != 0 }
 
+// dirEntry is one line's directory state. Fields are laid out widest first
+// (8-byte words and sharer sets, then lid, then the one-byte states and
+// flags) so the slab holds no padding; TestHotStructSizes guards the size.
 type dirEntry struct {
-	line    mem.Line   // the line this slot currently serves
-	lid     mem.LineID // line's interned ID (index into Directory.idx)
-	state   DirState
+	line    mem.Line // the line this slot currently serves
 	sharers nodeSet
 	owner   int
-
-	busy        bool
-	busySince   sim.Time
-	busyTxGETX  bool
-	busyGETX    bool
-	busyGETS    bool
-	requester   int
-	unicastTo   int // -1 when not a unicast service
-	waitWB      bool
-	gotWB       bool
-	gotUnblock  bool
-	unblock     Msg
-	savedState  DirState
-	savedShare  nodeSet
-	savedOwner  int
-	busyReqID   uint64
-	busyReqIsTx bool
 
 	// pending queues requests that arrived while the entry was busy; they
 	// are serviced FIFO when the entry unblocks. Without this, fixed-period
@@ -160,6 +147,34 @@ type dirEntry struct {
 	// parked by value so the delivered *Msg can return to its pool the
 	// moment Handle returns, and the queue's capacity is reused.
 	pending []Msg
+
+	// The service in progress while busy, and the stable state it restores
+	// if the request fails.
+	busySince  sim.Time
+	requester  int
+	unicastTo  int // -1 when not a unicast service
+	busyReqID  uint64
+	savedShare nodeSet
+	savedOwner int
+
+	// The requester's UNBLOCK verdict: the only parts of the UNBLOCK that
+	// tryComplete reads, possibly later, when the owner's writeback lands
+	// (unblockOK and unblockMP sit with the flags below).
+	unblockAborted int // Msg.AbortedSharers
+
+	lid         mem.LineID // line's interned ID (index into Directory.idx)
+	state       DirState
+	savedState  DirState
+	busy        bool
+	busyTxGETX  bool
+	busyGETX    bool
+	busyGETS    bool
+	busyReqIsTx bool
+	waitWB      bool
+	gotWB       bool
+	gotUnblock  bool
+	unblockOK   bool // Msg.Success
+	unblockMP   bool // Msg.MPBit
 }
 
 // Directory is the home-node coherence controller for the lines mapping to
@@ -371,7 +386,10 @@ func (d *Directory) entry(l mem.Line, lid mem.LineID) *dirEntry {
 		s = int32(len(d.slab) - 1)
 	}
 	e := &d.slab[s]
-	*e = dirEntry{line: l, lid: lid, state: DirInvalid, owner: -1, unicastTo: -1, pending: e.pending[:0]}
+	pending := e.pending[:0]
+	*e = dirEntry{} // state DirInvalid; set the rest in place (see Msg.Fill)
+	e.line, e.lid, e.pending = l, lid, pending
+	e.owner, e.unicastTo = -1, -1
 	d.idx[lid-1] = s + 1
 	return e
 }
@@ -457,24 +475,40 @@ func (d *Directory) observe(m *Msg) {
 	}
 }
 
-// send fills a pooled message with m and hands it to the environment; the
-// literal callers build stays on the stack, so the only message object per
-// send is the recycled one.
+// newMsg returns a pooled message of type t about request m, addressed to
+// dst, with the header filled in place by Msg.Fill: m's line, this
+// directory as source, m's requester and request tag. Callers set any
+// further fields and hand it to env.Send.
 //
 //puno:hot
-func (d *Directory) send(delay sim.Time, m Msg) {
+func (d *Directory) newMsg(t MsgType, m *Msg, dst int) *Msg {
 	msg := d.env.NewMsg()
-	*msg = m
+	msg.Fill(t, m.Line, m.LID, d.node, dst, m.Src, m.ReqID)
+	return msg
+}
+
+// sendData replies to m's requester with the L2 image of the line, after
+// the directory latency plus the L2 (or memory) access, announcing acks
+// sharer responses to collect.
+func (d *Directory) sendData(m *Msg, extra sim.Time, acks int) {
+	data, lat := d.env.LineData(m.Line, m.LID)
+	msg := d.newMsg(MsgData, m, m.Src)
+	msg.Data, msg.HasData, msg.AckCount = data, true, acks
+	d.env.Send(d.DirLatency+extra+lat, msg)
+}
+
+// forward sends m's request on to dst: the owner, a sharer to invalidate,
+// or the predicted nacker of a unicast.
+func (d *Directory) forward(t MsgType, m *Msg, dst int, delay sim.Time, ubit bool) {
+	msg := d.newMsg(t, m, dst)
+	msg.IsTx, msg.Prio, msg.IsWrite, msg.UBit = m.IsTx, m.Prio, t == MsgFwdGETX, ubit
 	d.env.Send(delay, msg)
 }
 
 func (d *Directory) nackBusy(m *Msg) {
 	d.stats.BusyNacks++
 	d.emit(probe.KindDirBusyNack, m.LID, 0, m.Src, m.ReqID)
-	d.send(d.DirLatency, Msg{
-		Type: MsgNackBusy, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-		Requester: m.Src, ReqID: m.ReqID,
-	})
+	d.env.Send(d.DirLatency, d.newMsg(MsgNackBusy, m, m.Src))
 }
 
 // park queues a copy of the request on a busy entry, or NackBusy-rejects
@@ -501,24 +535,16 @@ func (d *Directory) handleGETS(m *Msg) {
 	switch e.state {
 	case DirInvalid, DirShared:
 		// Serviced entirely at the home node: read L2, add sharer, reply.
-		data, lat := d.env.LineData(m.Line, m.LID)
 		e.state = DirShared
 		e.sharers.add(m.Src)
-		d.send(d.DirLatency+lat, Msg{
-			Type: MsgData, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-			Requester: m.Src, ReqID: m.ReqID, Data: data, HasData: true,
-		})
+		d.sendData(m, 0, 0)
 		d.updateUD(e, m.Line)
 	case DirModified:
 		// Forward to the owner; it supplies data to the requester and a
 		// writeback copy to us. Blocked until WBData + UNBLOCK.
 		d.beginBusy(e, m, false)
 		e.waitWB = true
-		d.send(d.DirLatency, Msg{
-			Type: MsgFwdGETS, Line: m.Line, LID: m.LID, Src: d.node, Dst: e.owner,
-			Requester: m.Src, ReqID: m.ReqID, IsTx: m.IsTx, Prio: m.Prio,
-			IsWrite: false,
-		})
+		d.forward(MsgFwdGETS, m, e.owner, d.DirLatency, false)
 	}
 }
 
@@ -542,12 +568,7 @@ func (d *Directory) handleGETX(m *Msg) {
 	switch e.state {
 	case DirInvalid:
 		d.beginBusy(e, m, true)
-		data, lat := d.env.LineData(m.Line, m.LID)
-		d.send(d.DirLatency+lat, Msg{
-			Type: MsgData, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-			Requester: m.Src, ReqID: m.ReqID, Data: data, HasData: true,
-			AckCount: 0,
-		})
+		d.sendData(m, 0, 0)
 	case DirShared:
 		d.beginBusy(e, m, true)
 		targets := d.sharersScratch(e.sharers, m.Src)
@@ -563,11 +584,7 @@ func (d *Directory) handleGETX(m *Msg) {
 				d.stats.UnicastForwards++
 				e.unicastTo = dest
 				d.emit(probe.KindDirUnicast, m.LID, dest, m.Src, m.ReqID)
-				d.send(d.DirLatency+d.pred.DecisionLatency(), Msg{
-					Type: MsgFwdGETX, Line: m.Line, LID: m.LID, Src: d.node, Dst: dest,
-					Requester: m.Src, ReqID: m.ReqID, IsTx: m.IsTx,
-					Prio: m.Prio, IsWrite: true, UBit: true,
-				})
+				d.forward(MsgFwdGETX, m, dest, d.DirLatency+d.pred.DecisionLatency(), true)
 				return
 			}
 		}
@@ -579,50 +596,34 @@ func (d *Directory) handleGETX(m *Msg) {
 		d.stats.MulticastFwds += uint64(len(targets))
 		d.emit(probe.KindDirMulticast, m.LID, len(targets), m.Src, m.ReqID)
 		for _, t := range targets {
-			d.send(d.DirLatency+extra, Msg{
-				Type: MsgFwdGETX, Line: m.Line, LID: m.LID, Src: d.node, Dst: t,
-				Requester: m.Src, ReqID: m.ReqID, IsTx: m.IsTx, Prio: m.Prio,
-				IsWrite: true,
-			})
+			d.forward(MsgFwdGETX, m, t, d.DirLatency+extra, false)
 		}
 		if m.NeedData || !e.sharers.has(m.Src) {
-			data, lat := d.env.LineData(m.Line, m.LID)
-			d.send(d.DirLatency+extra+lat, Msg{
-				Type: MsgData, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-				Requester: m.Src, ReqID: m.ReqID, Data: data, HasData: true,
-				AckCount: len(targets),
-			})
+			d.sendData(m, extra, len(targets))
 		} else {
-			d.send(d.DirLatency+extra, Msg{
-				Type: MsgAckCount, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-				Requester: m.Src, ReqID: m.ReqID, AckCount: len(targets),
-			})
+			d.sendAckCount(m, extra, len(targets))
 		}
 	case DirModified:
 		d.beginBusy(e, m, true)
-		d.send(d.DirLatency, Msg{
-			Type: MsgFwdGETX, Line: m.Line, LID: m.LID, Src: d.node, Dst: e.owner,
-			Requester: m.Src, ReqID: m.ReqID, IsTx: m.IsTx, Prio: m.Prio,
-			IsWrite: true,
-		})
+		d.forward(MsgFwdGETX, m, e.owner, d.DirLatency, false)
 	}
 }
 
 // grantNoSharers completes a GETX that needs no invalidations.
 func (d *Directory) grantNoSharers(e *dirEntry, m *Msg) {
 	if m.NeedData {
-		data, lat := d.env.LineData(m.Line, m.LID)
-		d.send(d.DirLatency+lat, Msg{
-			Type: MsgData, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-			Requester: m.Src, ReqID: m.ReqID, Data: data, HasData: true,
-			AckCount: 0,
-		})
+		d.sendData(m, 0, 0)
 		return
 	}
-	d.send(d.DirLatency, Msg{
-		Type: MsgAckCount, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-		Requester: m.Src, ReqID: m.ReqID, AckCount: 0,
-	})
+	d.sendAckCount(m, 0, 0)
+}
+
+// sendAckCount grants m's requester its request without data (it holds a
+// copy), announcing acks sharer responses to collect.
+func (d *Directory) sendAckCount(m *Msg, extra sim.Time, acks int) {
+	msg := d.newMsg(MsgAckCount, m, m.Src)
+	msg.AckCount = acks
+	d.env.Send(d.DirLatency+extra, msg)
 }
 
 func (d *Directory) beginBusy(e *dirEntry, m *Msg, isGETX bool) {
@@ -652,7 +653,7 @@ func (d *Directory) handleUnblock(m *Msg) {
 		panic(fmt.Sprintf("coherence: UNBLOCK from %d but busy requester is %d", m.Src, e.requester))
 	}
 	e.gotUnblock = true
-	e.unblock = *m
+	e.unblockOK, e.unblockMP, e.unblockAborted = m.Success, m.MPBit, m.AbortedSharers
 	if m.MPBit && d.pred != nil {
 		d.stats.Mispredictions++
 		d.pred.Misprediction(m.Line, m.MPNode, m.Prio)
@@ -674,9 +675,7 @@ func (d *Directory) handlePUTX(m *Msg) {
 	if e.busy || e.state != DirModified || e.owner != m.Src {
 		// Raced with a forward (or is stale): the owner must keep serving
 		// the in-flight forward from its retained copy.
-		d.send(d.DirLatency, Msg{
-			Type: MsgWBStale, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-		})
+		d.sendWB(MsgWBStale, m)
 		return
 	}
 	d.stats.Writebacks++
@@ -684,22 +683,28 @@ func (d *Directory) handlePUTX(m *Msg) {
 	e.state = DirInvalid
 	e.sharers = nodeSet{}
 	e.owner = -1
-	d.send(d.DirLatency, Msg{
-		Type: MsgWBAck, Line: m.Line, LID: m.LID, Src: d.node, Dst: m.Src,
-	})
+	d.sendWB(MsgWBAck, m)
 	d.recycleIfIdle(e)
+}
+
+// sendWB answers a PUTX. Writeback replies carry no requester or request
+// tag: they settle the owner's victim, not a directory-serialized request.
+func (d *Directory) sendWB(t MsgType, m *Msg) {
+	msg := d.env.NewMsg()
+	msg.Fill(t, m.Line, m.LID, d.node, m.Src, 0, 0)
+	d.env.Send(d.DirLatency, msg)
 }
 
 func (d *Directory) tryComplete(l mem.Line, e *dirEntry) {
 	if !e.gotUnblock {
 		return
 	}
-	if e.unblock.Success && e.waitWB && !e.gotWB {
+	if e.unblockOK && e.waitWB && !e.gotWB {
 		return
 	}
 	// Apply the final transition.
 	req := e.requester
-	if e.unblock.Success {
+	if e.unblockOK {
 		switch {
 		case e.busyGETX:
 			e.state = DirModified
@@ -723,9 +728,9 @@ func (d *Directory) tryComplete(l mem.Line, e *dirEntry) {
 	}
 	if d.pred != nil && e.busyTxGETX {
 		if e.unicastTo >= 0 {
-			d.pred.UnicastResolved(!e.unblock.MPBit)
+			d.pred.UnicastResolved(!e.unblockMP)
 		} else {
-			d.pred.MulticastResolved(!e.unblock.Success && e.unblock.AbortedSharers > 0)
+			d.pred.MulticastResolved(!e.unblockOK && e.unblockAborted > 0)
 		}
 	}
 	// Blocking accounting.

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/htm"
@@ -450,6 +452,9 @@ type recordingPredictor struct {
 	unicastOK    bool
 	mispredicted []int
 	udCalls      int
+	// Arguments of every UnicastResolved / MulticastResolved call.
+	unicastResolved   []bool
+	multicastResolved []bool
 }
 
 func (p *recordingPredictor) ObserveRequest(node int, prio htm.Priority, avg sim.Time) {
@@ -459,8 +464,12 @@ func (p *recordingPredictor) PredictUnicast(l mem.Line, sharers []int, req int, 
 	return p.unicastDest, p.unicastOK
 }
 func (p *recordingPredictor) UpdateUD(l mem.Line, sharers []int) { p.udCalls++ }
-func (p *recordingPredictor) UnicastResolved(correct bool)       {}
-func (p *recordingPredictor) MulticastResolved(falseAbort bool)  {}
+func (p *recordingPredictor) UnicastResolved(correct bool) {
+	p.unicastResolved = append(p.unicastResolved, correct)
+}
+func (p *recordingPredictor) MulticastResolved(falseAbort bool) {
+	p.multicastResolved = append(p.multicastResolved, falseAbort)
+}
 func (p *recordingPredictor) Misprediction(l mem.Line, node int, prio htm.Priority) {
 	p.mispredicted = append(p.mispredicted, node)
 }
@@ -511,6 +520,69 @@ func TestMispredictionFeedbackReachesPredictor(t *testing.T) {
 	}
 	if d.Stats().Mispredictions != 1 {
 		t.Fatal("misprediction not counted")
+	}
+}
+
+// TestUnblockFeedbackResolvesService drives every combination of the
+// UNBLOCK fields the directory keeps (Success, MPBit, AbortedSharers)
+// through a unicast, a multicast and a non-transactional service of a GETX
+// to a shared line, and checks the predictor feedback and the line's final
+// state.
+func TestUnblockFeedbackResolvesService(t *testing.T) {
+	for _, service := range []string{"unicast", "multicast", "non-tx"} {
+		for _, success := range []bool{false, true} {
+			for _, mp := range []bool{false, true} {
+				for _, aborted := range []int{0, 2} {
+					pred := &recordingPredictor{unicastDest: 5, unicastOK: service == "unicast"}
+					env := newMockEnv()
+					d := NewDirectory(0, 16, env, pred)
+					for _, n := range []int{1, 5, 9} {
+						d.Handle(gets(n, true, htm.Priority(n)))
+					}
+					d.Handle(getx(2, service != "non-tx", 50, true))
+					env.take()
+					d.Handle(&Msg{
+						Type: MsgUnblock, Line: testLine, Src: 2, Success: success,
+						MPBit: mp, MPNode: 5, AbortedSharers: aborted,
+					})
+
+					name := fmt.Sprintf("%s success=%v mp=%v aborted=%d", service, success, mp, aborted)
+					var wantUni, wantMulti []bool
+					switch service {
+					case "unicast":
+						wantUni = []bool{!mp}
+					case "multicast":
+						wantMulti = []bool{!success && aborted > 0}
+					}
+					if !slices.Equal(pred.unicastResolved, wantUni) {
+						t.Errorf("%s: UnicastResolved calls %v, want %v", name, pred.unicastResolved, wantUni)
+					}
+					if !slices.Equal(pred.multicastResolved, wantMulti) {
+						t.Errorf("%s: MulticastResolved calls %v, want %v", name, pred.multicastResolved, wantMulti)
+					}
+					var wantMP []int
+					if mp {
+						wantMP = []int{5}
+					}
+					if !slices.Equal(pred.mispredicted, wantMP) {
+						t.Errorf("%s: Misprediction nodes %v, want %v", name, pred.mispredicted, wantMP)
+					}
+
+					st, sharers, owner := d.State(testLine)
+					wantSt, wantSharers, wantOwner := DirShared, []int{1, 5, 9}, -1
+					if success {
+						wantSt, wantSharers, wantOwner = DirModified, []int{2}, 2
+					}
+					if st != wantSt || !slices.Equal(sharers, wantSharers) || owner != wantOwner {
+						t.Errorf("%s: final state %v sharers %v owner %d, want %v %v %d",
+							name, st, sharers, owner, wantSt, wantSharers, wantOwner)
+					}
+					if d.BusyLines() != 0 {
+						t.Errorf("%s: entry still busy after UNBLOCK", name)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -57,15 +57,16 @@ func (t MsgType) String() string {
 
 // Msg is one coherence message. Fields beyond Type/Line/Src/Dst are used by
 // subsets of the message types; see the field comments.
+//
+// Fields are laid out widest first (the 8-byte words, then Data, LID, Type
+// and the flags) so the struct carries no padding: 168 bytes on 64-bit
+// hosts. Every message is zeroed and filled once per send and copied when
+// a directory parks it, so a field added out of order costs on every hop;
+// TestHotStructSizes guards the size.
 type Msg struct {
-	Type MsgType
 	Line mem.Line
-	// LID is Line's interned dense ID (0 when the sender did not know it —
-	// the directory interns on arrival). Carrying it on every message lets
-	// the receiving controller index its dense tables without hashing.
-	LID mem.LineID
-	Src int // sending node
-	Dst int // receiving node
+	Src  int // sending node
+	Dst  int // receiving node
 
 	// Requester identity, threaded through forwards so sharers respond
 	// directly to the requester (3-hop protocol).
@@ -73,21 +74,13 @@ type Msg struct {
 	ReqID     uint64 // requester's per-request generation tag, echoed in responses
 
 	// Transactional metadata carried on requests and forwards.
-	IsTx     bool
-	Prio     htm.Priority // requester transaction priority (timestamp)
-	IsWrite  bool         // the forwarded request is a write (GETX)
-	NeedData bool         // GETX from Invalid: requester has no copy
+	Prio htm.Priority // requester transaction priority (timestamp)
 
-	// PUNO protocol extensions (Fig. 7 of the paper).
-	UBit     bool     // forward was unicast by the predictive directory
-	MPBit    bool     // NACK/UNBLOCK: unicast destination was mispredicted
+	// PUNO protocol extensions (Fig. 7 of the paper); the U-bit and MP-bit
+	// flags sit with the other flags below.
 	MPNode   int      // UNBLOCK: the mispredicted node whose P-Buffer entry is stale
 	TEst     sim.Time // NACK: nacker's estimated remaining cycles (0 = no notification)
 	AvgTxLen sim.Time // requests: requester's average transaction length (directory timeout hint)
-
-	// Data movement.
-	Data    mem.LineData
-	HasData bool
 
 	// Directory -> requester bookkeeping.
 	AckCount int // number of sharer responses the requester must collect
@@ -96,8 +89,26 @@ type Msg struct {
 	// aborted for this service (it only observes responses indirectly), so
 	// the predictor can estimate how much false aborting its multicasts
 	// cause.
-	Success        bool
 	AbortedSharers int
+
+	// Data movement.
+	Data mem.LineData
+
+	// LID is Line's interned dense ID (0 when the sender did not know it —
+	// the directory interns on arrival). Carrying it on every message lets
+	// the receiving controller index its dense tables without hashing.
+	LID  mem.LineID
+	Type MsgType
+
+	// Flags: transactional metadata on requests and forwards, the PUNO
+	// U-bit and MP-bit, data presence and the UNBLOCK outcome.
+	IsTx     bool
+	IsWrite  bool // the forwarded request is a write (GETX)
+	NeedData bool // GETX from Invalid: requester has no copy
+	UBit     bool // forward was unicast by the predictive directory
+	MPBit    bool // NACK/UNBLOCK: unicast destination was mispredicted
+	HasData  bool // Data carries the line
+	Success  bool // UNBLOCK: the request completed (was not NACKed)
 
 	// Responder-side annotations. Sole marks a response from the only
 	// node servicing the request (the owner of a Modified line, or the
@@ -107,6 +118,21 @@ type Msg struct {
 	// the requester counts these to classify false aborting (Figs. 2, 3).
 	Sole          bool
 	AbortedSharer bool
+}
+
+// Fill zeroes m and sets the header every message carries. Send sites take
+// a pooled message, Fill it, set the type-specific fields one by one, and
+// send it. Assigning a non-empty composite literal through the pointer
+// instead (*m = Msg{...}) can make the compiler build the literal in a
+// zeroed stack temporary and block-copy the whole struct into m (it does
+// for any literal that sets Data), and passing a literal by value to a
+// helper that stores it always copies; zeroing in place and storing the
+// few live fields avoids both.
+func (m *Msg) Fill(t MsgType, l mem.Line, lid mem.LineID, src, dst, requester int, reqID uint64) {
+	*m = Msg{}
+	m.Type, m.Line, m.LID = t, l, lid
+	m.Src, m.Dst = src, dst
+	m.Requester, m.ReqID = requester, reqID
 }
 
 // ControlFlits and DataFlits size protocol messages on the network: a

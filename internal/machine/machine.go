@@ -61,12 +61,12 @@ type Machine struct {
 	// previous run's sink.
 	sink probe.Sink
 
-	// msgFree recycles coherence messages: every message is built wholesale
-	// into a pooled struct at its send site and returned to the pool by the
-	// dispatcher the moment its handler returns (handlers that need a
-	// message past that point — parked directory requests, deferred grants —
-	// copy it by value). In steady state the pool makes the protocol
-	// traffic allocation-free.
+	// msgFree recycles coherence messages: every message is filled in place
+	// (Msg.Fill) into a pooled struct at its send site and returned to the
+	// pool by the dispatcher the moment its handler returns (handlers that
+	// need a message past that point — parked directory requests, deferred
+	// grants — copy it by value). In steady state the pool makes the
+	// protocol traffic allocation-free.
 	msgFree []*coherence.Msg
 
 	// Shard-mode state (shard.go). [lo, hi) is the owned node range — the
@@ -80,8 +80,8 @@ type Machine struct {
 	ownIt  *mem.Interner
 }
 
-// newMsg pops a recycled message (fields NOT zeroed — callers overwrite
-// wholesale) or allocates the pool's next one.
+// newMsg pops a recycled message (fields NOT zeroed — callers start with
+// Msg.Fill) or allocates the pool's next one.
 func (m *Machine) newMsg() *coherence.Msg {
 	if n := len(m.msgFree); n > 0 {
 		msg := m.msgFree[n-1]
@@ -95,14 +95,6 @@ func (m *Machine) newMsg() *coherence.Msg {
 // retain the pointer.
 func (m *Machine) freeMsg(msg *coherence.Msg) {
 	m.msgFree = append(m.msgFree, msg)
-}
-
-// sendMsg ships a message built on the caller's stack through the pool and
-// onto the mesh.
-func (m *Machine) sendMsg(msg coherence.Msg) {
-	p := m.newMsg()
-	*p = msg
-	m.send(p)
 }
 
 // fail aborts the run with err (unrecoverable configuration or protocol

@@ -222,8 +222,7 @@ func (n *node) OnEvent(_ any, word uint64) {
 	case nevRestartBegin:
 		n.beginAttempt(true)
 	case nevGrantAborted:
-		g := n.grantMsg
-		n.grant(&g, true)
+		n.grant(&n.grantMsg, true)
 	default:
 		panic(fmt.Sprintf("machine: node %d unknown event code %d", n.id, word))
 	}
@@ -461,11 +460,11 @@ func (n *node) issue(l mem.Line, lid mem.LineID, isWrite, promoted, needData boo
 	}
 	n.reqSeq++
 	home := n.m.home.Home(l)
-	n.reqBuf = outstanding{
-		id: n.reqSeq, line: l, lid: lid, isWrite: isWrite, promoted: promoted,
-		isTx: true, home: home, expected: -1,
-	}
-	n.req = &n.reqBuf
+	r := &n.reqBuf
+	*r = outstanding{} // filled in place, like messages (see coherence.Msg.Fill)
+	r.id, r.line, r.lid, r.home = n.reqSeq, l, lid, home
+	r.isWrite, r.promoted, r.isTx, r.expected = isWrite, promoted, true, -1
+	n.req = r
 	n.state = nsWaiting
 	mt := coherence.MsgGETS
 	if isWrite {
@@ -474,11 +473,19 @@ func (n *node) issue(l mem.Line, lid mem.LineID, isWrite, promoted, needData boo
 			n.m.res.TxGETXIssued++
 		}
 	}
-	n.m.sendMsg(coherence.Msg{
-		Type: mt, Line: l, LID: lid, Src: n.id, Dst: home, Requester: n.id,
-		ReqID: n.reqSeq, IsTx: true, Prio: n.tx.Prio, IsWrite: isWrite,
-		NeedData: needData, AvgTxLen: n.txlb.GlobalAverage(),
-	})
+	msg := n.newMsg(mt, l, lid, home, n.id, n.reqSeq)
+	msg.IsTx, msg.Prio, msg.IsWrite, msg.NeedData = true, n.tx.Prio, isWrite, needData
+	msg.AvgTxLen = n.txlb.GlobalAverage()
+	n.m.send(msg)
+}
+
+// newMsg returns a pooled message of type t from this node, with the
+// header filled in place by coherence.Msg.Fill. Callers set any further
+// fields and hand it to Machine.send.
+func (n *node) newMsg(t coherence.MsgType, l mem.Line, lid mem.LineID, dst, requester int, reqID uint64) *coherence.Msg {
+	msg := n.m.newMsg()
+	msg.Fill(t, l, lid, n.id, dst, requester, reqID)
+	return msg
 }
 
 func (n *node) commit() {
@@ -831,17 +838,12 @@ func (n *node) sendUnblock(r *outstanding, success bool) {
 	if !r.isWrite && !r.dataFromOwner && r.sawNack && !r.soleDone {
 		return // defensive: a GETS can only be NACKed by a sole owner
 	}
-	msg := coherence.Msg{
-		Type: coherence.MsgUnblock, Line: r.line, LID: r.lid, Src: n.id, Dst: r.home,
-		Requester: n.id, ReqID: r.id, Success: success,
-		AbortedSharers: r.abortedSharers,
-	}
+	msg := n.newMsg(coherence.MsgUnblock, r.line, r.lid, r.home, n.id, r.id)
+	msg.Success, msg.AbortedSharers = success, r.abortedSharers
 	if r.mpSeen {
-		msg.MPBit = true
-		msg.MPNode = r.mpNode
-		msg.Prio = r.mpPrio
+		msg.MPBit, msg.MPNode, msg.Prio = true, r.mpNode, r.mpPrio
 	}
-	n.m.sendMsg(msg)
+	n.m.send(msg)
 }
 
 // handleEviction processes a victim displaced from the L1.
@@ -854,11 +856,9 @@ func (n *node) handleEviction(v cache.Entry) {
 	}
 	// Retain the data until the directory acknowledges the writeback.
 	n.wbWait.put(v.Line, v.LID, v.Data)
-	n.m.sendMsg(coherence.Msg{
-		Type: coherence.MsgPUTX, Line: v.Line, LID: v.LID, Src: n.id,
-		Dst: n.m.home.Home(v.Line), Requester: n.id,
-		Data: v.Data, HasData: true,
-	})
+	msg := n.newMsg(coherence.MsgPUTX, v.Line, v.LID, n.m.home.Home(v.Line), n.id, 0)
+	msg.Data, msg.HasData = v.Data, true
+	n.m.send(msg)
 }
 
 // ---- forward (sharer/owner) handling ------------------------------------
@@ -895,8 +895,9 @@ func (n *node) handleForward(f *coherence.Msg) {
 		}
 		lat := n.abortTx(cause, false)
 		// The dispatcher recycles f when we return; stash a copy for the
-		// deferred grant. Only this path defers, and abortTx cannot run
-		// again before the grant fires, so one stash slot suffices.
+		// deferred grant, which answers the stash in place. Only this path
+		// defers, and abortTx cannot run again before the grant fires, so
+		// one stash slot suffices.
 		n.grantMsg = *f
 		n.afterEv(lat, nevGrantAborted)
 		return
@@ -945,11 +946,10 @@ func (n *node) nack(f *coherence.Msg, tEst sim.Time, mp bool, conflicting bool) 
 	if conflicting && n.tx.InFlight() {
 		prio = n.tx.Prio
 	}
-	n.m.sendMsg(coherence.Msg{
-		Type: coherence.MsgNack, Line: f.Line, Src: n.id, Dst: f.Requester,
-		Requester: f.Requester, ReqID: f.ReqID, Prio: prio,
-		TEst: tEst, MPBit: mp, UBit: f.UBit, Sole: f.UBit || n.isOwnerResponse(f.Line),
-	})
+	msg := n.newMsg(coherence.MsgNack, f.Line, 0, f.Requester, f.Requester, f.ReqID)
+	msg.Prio, msg.TEst, msg.MPBit, msg.UBit = prio, tEst, mp, f.UBit
+	msg.Sole = f.UBit || n.isOwnerResponse(f.Line)
+	n.m.send(msg)
 }
 
 // isOwnerResponse reports whether this node is responding as the line's
@@ -983,10 +983,7 @@ func (n *node) grant(f *coherence.Msg, aborted bool) {
 		if !f.IsWrite {
 			// A read downgrade blocks the directory until the writeback
 			// copy arrives; send it even though our cached line is gone.
-			n.m.sendMsg(coherence.Msg{
-				Type: coherence.MsgWBData, Line: l, LID: f.LID, Src: n.id, Dst: n.m.home.Home(l),
-				Data: data, HasData: true,
-			})
+			n.sendWBData(f, data)
 		}
 		return
 	}
@@ -1000,10 +997,7 @@ func (n *node) grant(f *coherence.Msg, aborted bool) {
 			panic(fmt.Sprintf("machine: node %d got FwdGETS for %v but holds no copy", n.id, l))
 		}
 		// Silently evicted shared line: acknowledge the invalidation.
-		n.m.sendMsg(coherence.Msg{
-			Type: coherence.MsgAck, Line: l, Src: n.id, Dst: f.Requester,
-			Requester: f.Requester, ReqID: f.ReqID, AbortedSharer: aborted,
-		})
+		n.sendAck(f, aborted)
 		return
 	}
 	isOwner := e.State == cache.Modified || e.State == cache.Exclusive
@@ -1013,10 +1007,7 @@ func (n *node) grant(f *coherence.Msg, aborted bool) {
 		if isOwner {
 			n.sendOwnerData(f, data, aborted)
 		} else {
-			n.m.sendMsg(coherence.Msg{
-				Type: coherence.MsgAck, Line: l, Src: n.id, Dst: f.Requester,
-				Requester: f.Requester, ReqID: f.ReqID, AbortedSharer: aborted,
-			})
+			n.sendAck(f, aborted)
 		}
 		return
 	}
@@ -1027,18 +1018,28 @@ func (n *node) grant(f *coherence.Msg, aborted bool) {
 	}
 	e.State = cache.Shared
 	n.sendOwnerData(f, e.Data, aborted)
-	n.m.sendMsg(coherence.Msg{
-		Type: coherence.MsgWBData, Line: l, LID: f.LID, Src: n.id, Dst: n.m.home.Home(l),
-		Data: e.Data, HasData: true,
-	})
+	n.sendWBData(f, e.Data)
 }
 
 func (n *node) sendOwnerData(f *coherence.Msg, data mem.LineData, aborted bool) {
-	n.m.sendMsg(coherence.Msg{
-		Type: coherence.MsgData, Line: f.Line, Src: n.id, Dst: f.Requester,
-		Requester: f.Requester, ReqID: f.ReqID, Data: data, HasData: true,
-		Sole: true, AbortedSharer: aborted,
-	})
+	msg := n.newMsg(coherence.MsgData, f.Line, 0, f.Requester, f.Requester, f.ReqID)
+	msg.Data, msg.HasData, msg.Sole, msg.AbortedSharer = data, true, true, aborted
+	n.m.send(msg)
+}
+
+// sendAck acknowledges the invalidation f to its requester.
+func (n *node) sendAck(f *coherence.Msg, aborted bool) {
+	msg := n.newMsg(coherence.MsgAck, f.Line, 0, f.Requester, f.Requester, f.ReqID)
+	msg.AbortedSharer = aborted
+	n.m.send(msg)
+}
+
+// sendWBData sends the home directory the writeback copy a downgrade (the
+// FwdGETS f) owes it.
+func (n *node) sendWBData(f *coherence.Msg, data mem.LineData) {
+	msg := n.newMsg(coherence.MsgWBData, f.Line, f.LID, n.m.home.Home(f.Line), 0, 0)
+	msg.Data, msg.HasData = data, true
+	n.m.send(msg)
 }
 
 // subscribeWakeup (PUNO-Push) records a NACKed requester to ping when this
@@ -1088,10 +1089,7 @@ func (n *node) fireWakeupLine(i int) {
 	l := n.wakeupSubs.lines[i]
 	for j := 0; j < n.wakeupSubs.nw[i]; j++ {
 		dst := n.wakeupSubs.waiters[i][j]
-		n.m.sendMsg(coherence.Msg{
-			Type: coherence.MsgWakeup, Line: l, Src: n.id, Dst: dst,
-			Requester: dst,
-		})
+		n.m.send(n.newMsg(coherence.MsgWakeup, l, 0, dst, dst, 0))
 	}
 }
 

@@ -300,50 +300,55 @@ func (m *Mesh) Send(src, dst int, class Class, flits int, payload any) {
 //
 //puno:hot
 func (m *Mesh) route(now sim.Time, src, dst int, class Class, flits int) sim.Time {
-	// Walk the route inline (same hop sequence Route returns, without
-	// materializing it), threading the head-flit arrival time through each
-	// router and link.
+	// The hop sequence is the one Route returns, walked without
+	// materializing it: each leg's links sit a fixed stride apart in
+	// linkFree (4 per column along X, 4·Width per row along Y).
+	w := m.cfg.Width
 	sx, sy := m.xy(src)
 	dx, dy := m.xy(dst)
 	t := now + m.cfg.RouterStages // source router pipeline
-	var queueing sim.Time
-	hops := 0
-	x, y := sx, sy
-	for x != dx || y != dy {
-		var link int
-		switch {
-		case x < dx:
-			link = m.linkIndex(y*m.cfg.Width+x, dirEast)
-			x++
-		case x > dx:
-			link = m.linkIndex(y*m.cfg.Width+x, dirWest)
-			x--
-		case y < dy:
-			link = m.linkIndex(y*m.cfg.Width+x, dirSouth)
-			y++
-		default:
-			link = m.linkIndex(y*m.cfg.Width+x, dirNorth)
-			y--
-		}
-		depart := t
-		if m.linkFree[link] > depart {
-			queueing += m.linkFree[link] - depart
-			depart = m.linkFree[link]
-		}
-		// The link serializes all flits of this message.
-		m.linkFree[link] = depart + sim.Time(flits)*m.cfg.LinkCycles
-		// Head flit reaches the next router, then traverses its pipeline.
-		t = depart + m.cfg.LinkCycles + m.cfg.RouterStages
-		hops++
+
+	link, stride, nx := m.linkIndex(sy*w+sx, dirEast), 4, dx-sx
+	if nx < 0 {
+		link, stride, nx = m.linkIndex(sy*w+sx, dirWest), -4, -nx
 	}
+	t, qx := m.leg(t, link, stride, nx, flits)
+
+	link, stride, ny := m.linkIndex(sy*w+dx, dirSouth), 4*w, dy-sy
+	if ny < 0 {
+		link, stride, ny = m.linkIndex(sy*w+dx, dirNorth), -4*w, -ny
+	}
+	t, qy := m.leg(t, link, stride, ny, flits)
+
 	// Tail flit trails the head by (flits-1) cycles at the destination.
 	t += sim.Time(flits-1) * m.cfg.LinkCycles
 
 	// Every flit visits every router on the path (hops+1 routers).
+	hops := nx + ny
 	m.stats.RouterTraversal[class] += uint64(flits) * uint64(hops+1)
 	m.stats.TotalLatency += uint64(t - now)
-	m.stats.QueueingDelay += uint64(queueing)
+	m.stats.QueueingDelay += uint64(qx + qy)
 	return t
+}
+
+// leg reserves n links, the first at index link and each next one stride
+// further on in linkFree, for a message whose head flit is ready to leave
+// at cycle t. It returns when the head flit has crossed the last link and
+// traversed the router behind it, and the cycles it spent waiting for
+// busy links. max keeps the wait free of a data-dependent branch.
+//
+//puno:hot
+func (m *Mesh) leg(t sim.Time, link, stride, n, flits int) (arrive, queueing sim.Time) {
+	busy := sim.Time(flits) * m.cfg.LinkCycles // the link serializes all flits
+	hop := m.cfg.LinkCycles + m.cfg.RouterStages
+	for ; n > 0; n-- {
+		depart := max(t, m.linkFree[link])
+		queueing += depart - t
+		m.linkFree[link] = depart + busy
+		t = depart + hop
+		link += stride
+	}
+	return t, queueing
 }
 
 // ReserveRoute performs the accounting half of Send for a remote message

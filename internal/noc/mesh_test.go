@@ -251,8 +251,31 @@ func TestSendDeliveryProperty(t *testing.T) {
 	}
 }
 
+func TestSendRejectsZeroFlits(t *testing.T) {
+	m, _ := newTestMesh(t)
+	m.Attach(1, func(any) {})
+	defer func() {
+		if recover() == nil {
+			t.Error("Send with zero flits did not panic")
+		}
+	}()
+	m.Send(0, 1, ClassRequest, 0, nil)
+}
+
+func TestNewRejectsEmptyMesh(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New with a zero-width mesh did not panic")
+		}
+	}()
+	New(Config{Width: 0, Height: 4}, sim.NewEngine())
+}
+
 func TestClassString(t *testing.T) {
 	if ClassRequest.String() != "request" || ClassForward.String() != "forward" || ClassResponse.String() != "response" {
 		t.Fatal("Class.String mismatch")
+	}
+	if s := Class(7).String(); s != "Class(7)" {
+		t.Fatalf("Class(7).String() = %q", s)
 	}
 }
